@@ -15,10 +15,11 @@ for checksumming, encryption, and per-message protocol overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.context import SimContext
-from repro.sched.policies import ReadyQueue, make_queue
+from repro.sched.policies import _HeapQueue, make_queue
 
 __all__ = ["CpuCostModel", "WorkItem", "HostCpu"]
 
@@ -59,33 +60,53 @@ class CpuCostModel:
         return cost
 
 
-@dataclass
 class WorkItem:
     """One unit of protocol processing queued on a CPU."""
 
-    name: str
-    cpu_time: float
-    deadline: float
-    callback: Callable[..., None]
-    #: Positional arguments for ``callback`` -- the fast path passes the
-    #: stage state here instead of closing over it in a lambda.
-    args: Tuple[Any, ...] = ()
-    #: Context-switch accounting owner.  ``None`` means "derive from the
-    #: name prefix" (everything before the first ``/``); the fast path
-    #: passes it explicitly to skip the per-dispatch string split.
-    owner: Optional[str] = None
-    priority: int = 0
-    submitted_at: float = 0.0
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    trace_id: Optional[int] = None  # observability span, if the work
-    # item carries one message's protocol stage
+    __slots__ = ("name", "cpu_time", "deadline", "callback", "args",
+                 "owner", "priority", "submitted_at", "started_at",
+                 "finished_at", "trace_id")
+
+    def __init__(
+        self,
+        name: str,
+        cpu_time: float,
+        deadline: float,
+        callback: Callable[..., None],
+        args: Tuple[Any, ...] = (),
+        owner: Optional[str] = None,
+        priority: int = 0,
+        submitted_at: float = 0.0,
+        trace_id: Optional[int] = None,
+    ) -> None:
+        self.name = name
+        self.cpu_time = cpu_time
+        self.deadline = deadline
+        self.callback = callback
+        #: Positional arguments for ``callback``: callers can pass the
+        #: stage state here instead of closing over it in a lambda.
+        self.args = args
+        #: Context-switch accounting owner.  ``None`` means "derive from
+        #: the name prefix" (everything before the first ``/``).
+        self.owner = owner
+        self.priority = priority
+        self.submitted_at = submitted_at
+        self.started_at: Optional[float] = None
+        self.finished_at: Optional[float] = None
+        #: Observability span, if the item carries one message's stage.
+        self.trace_id = trace_id
 
     @property
     def missed_deadline(self) -> Optional[bool]:
         if self.finished_at is None:
             return None
         return self.finished_at > self.deadline + 1e-12
+
+    def __repr__(self) -> str:
+        return (
+            f"<WorkItem {self.name} cpu={self.cpu_time!r} "
+            f"deadline={self.deadline!r}>"
+        )
 
 
 class HostCpu:
@@ -96,6 +117,12 @@ class HostCpu:
     switch cost is charged whenever the CPU moves between items of
     different ``owner`` names, modeling the protocol-process context
     switching that section 4.3 trades off against fragmentation.
+
+    Each item completes at one simulated instant.  When the item after
+    it is already queued, the CPU runs ahead (:meth:`EventLoop.advance_to
+    <repro.sim.events.EventLoop.advance_to>`): if nothing else is due
+    before that item's completion, it completes inline, without an
+    event-loop round trip; otherwise it gets its completion event.
     """
 
     def __init__(
@@ -109,7 +136,12 @@ class HostCpu:
         self.context = context
         self.name = name
         self.costs = cost_model or CpuCostModel()
-        self._queue: ReadyQueue[WorkItem] = make_queue(policy)
+        # The policy's ready heap of (key, seq, item), pushed and popped
+        # directly on the submit and finish paths.
+        queue: _HeapQueue[WorkItem] = make_queue(policy)
+        self._heap = queue._heap
+        self._key = queue._key
+        self._seq = queue._seq
         self.policy = policy
         self._busy = False
         self._paused = False
@@ -133,25 +165,9 @@ class HostCpu:
         trace_id: Optional[int] = None,
     ) -> WorkItem:
         """Queue one work item; ``callback`` runs when it completes."""
-        item = WorkItem(
-            name=name,
-            cpu_time=cpu_time,
-            deadline=deadline,
-            callback=callback,
-            priority=priority,
-            submitted_at=self.context.now,
-            trace_id=trace_id,
+        return self._submit(
+            name, cpu_time, deadline, callback, (), None, priority, trace_id
         )
-        self._queue.push(item, deadline=deadline, priority=priority)
-        self.context.tracer.record(
-            "cpu", "submit", cpu=self.name, item=name, deadline=deadline
-        )
-        obs = self.context.obs
-        if obs.enabled:
-            obs.spans.event(trace_id, "cpu", "enqueue", cpu=self.name, item=name)
-        if not self._busy:
-            self._dispatch()
-        return item
 
     def submit_protocol_stage(
         self,
@@ -185,45 +201,56 @@ class HostCpu:
         owner: Optional[str] = None,
         trace_id: Optional[int] = None,
     ) -> WorkItem:
-        """Hot-path submit: precomputed cost, positional-args callback.
+        """Submit with a precomputed cost and a positional-args callback.
 
-        Identical scheduling semantics to :meth:`submit`; the stage
-        state travels in ``args`` (no closure allocation), ``owner``
-        skips the name split at dispatch, and tracing is only recorded
-        when the tracer is actually collecting.
+        Scheduling is that of :meth:`submit` at priority 0: the stage
+        state travels in ``args`` (no closure per message), and an
+        explicit ``owner`` spares the name split when the item starts.
         """
-        item = WorkItem(
-            name=name,
-            cpu_time=cpu_time,
-            deadline=deadline,
-            callback=callback,
-            args=args,
-            owner=owner,
-            submitted_at=self.context.loop._now,
-            trace_id=trace_id,
+        return self._submit(
+            name, cpu_time, deadline, callback, args, owner, 0, trace_id
         )
-        tracer = self.context.tracer
+
+    def _submit(
+        self,
+        name: str,
+        cpu_time: float,
+        deadline: float,
+        callback: Callable[..., None],
+        args: Tuple[Any, ...],
+        owner: Optional[str],
+        priority: int,
+        trace_id: Optional[int],
+    ) -> WorkItem:
+        context = self.context
+        item = WorkItem(
+            name, cpu_time, deadline, callback, args, owner, priority,
+            context.loop._now, trace_id,
+        )
+        tracer = context.tracer
         if tracer.enabled:
             tracer.record(
                 "cpu", "submit", cpu=self.name, item=name, deadline=deadline
             )
-        obs = self.context.obs
+        obs = context.obs
         if obs.enabled:
             obs.spans.event(trace_id, "cpu", "enqueue", cpu=self.name, item=name)
-        if self._busy or self._paused or self._queue:
-            # Push/pop through the policy heap only when the item has
-            # company; an idle CPU starts its only item directly (any
-            # policy pops a singleton heap identically).
-            self._queue.push(item, deadline=deadline, priority=0)
+        if self._busy or self._paused or self._heap:
+            heappush(
+                self._heap,
+                (self._key(deadline, priority), next(self._seq), item),
+            )
             if not self._busy:
                 self._dispatch()
         else:
-            self._begin(item)
+            # An idle CPU starts its only item directly: any policy pops
+            # a one-item heap the same way.
+            self._start(item)
         return item
 
     @property
     def queue_length(self) -> int:
-        return len(self._queue)
+        return len(self._heap)
 
     @property
     def utilization_window(self) -> float:
@@ -245,14 +272,21 @@ class HostCpu:
         self._dispatch()
 
     def _dispatch(self) -> None:
-        if self._busy or self._paused or not self._queue:
+        if self._busy or self._paused or not self._heap:
             return
-        self._begin(self._queue.pop())
+        self._start(heappop(self._heap)[2])
 
-    def _begin(self, item: WorkItem) -> None:
-        context = self.context
+    def _start(self, item: WorkItem) -> None:
+        """Start ``item`` and schedule its completion event."""
+        run_time = self._begin(item)
+        loop = self.context.loop
+        loop.call_at(loop._now + run_time, self._finish, item, run_time)
+
+    def _begin(self, item: WorkItem) -> float:
+        """Mark ``item`` running; returns its run time, including any
+        context switch charged for it."""
         self._busy = True
-        item.started_at = context.loop._now
+        item.started_at = self.context.loop._now
         owner = item.owner
         if owner is None:
             owner = item.name.split("/", 1)[0]
@@ -261,49 +295,64 @@ class HostCpu:
             run_time += self.costs.per_context_switch
             self.context_switches += 1
         self._last_owner = owner
-        obs = context.obs
+        obs = self.context.obs
         if obs.enabled:
             obs.spans.event(
                 item.trace_id, "cpu", "dequeue", cpu=self.name, item=item.name
             )
-        context.loop.call_after(run_time, self._finish, item, run_time)
+        return run_time
 
     def _finish(self, item: WorkItem, run_time: float) -> None:
+        """Complete ``item``, then start the next queued item; while the
+        loop lets the clock run ahead to each next completion, those
+        complete here too (see the class docstring)."""
         context = self.context
-        now = context.loop._now
-        item.finished_at = now
-        self._busy = False
-        self.items_run += 1
-        self.busy_time += run_time
-        missed = now > item.deadline + 1e-12
-        if missed:
-            self.deadline_misses += 1
-        if self.keep_history:
-            self.completed.append(item)
-        tracer = context.tracer
-        if tracer.enabled:
-            tracer.record(
-                "cpu",
-                "finish",
-                cpu=self.name,
-                item=item.name,
-                missed=missed,
-            )
-        obs = context.obs
-        if obs.enabled:
-            metrics = obs.metrics
-            metrics.counter("cpu_items_run", cpu=self.name).inc()
+        loop = context.loop
+        heap = self._heap
+        while True:
+            now = loop._now
+            item.finished_at = now
+            self._busy = False
+            self.items_run += 1
+            self.busy_time += run_time
+            missed = now > item.deadline + 1e-12
             if missed:
-                metrics.counter("cpu_deadline_misses", cpu=self.name).inc()
-            metrics.histogram(
-                "cpu_queue_wait_seconds", cpu=self.name
-            ).observe((item.started_at or item.submitted_at) - item.submitted_at)
-            obs.spans.event(
-                item.trace_id, "cpu", "done",
-                cpu=self.name, item=item.name, missed=missed,
-            )
-        item.callback(*item.args)
-        self._dispatch()
+                self.deadline_misses += 1
+            if self.keep_history:
+                self.completed.append(item)
+            tracer = context.tracer
+            if tracer.enabled:
+                tracer.record(
+                    "cpu",
+                    "finish",
+                    cpu=self.name,
+                    item=item.name,
+                    missed=missed,
+                )
+            obs = context.obs
+            if obs.enabled:
+                metrics = obs.metrics
+                metrics.counter("cpu_items_run", cpu=self.name).inc()
+                if missed:
+                    metrics.counter("cpu_deadline_misses", cpu=self.name).inc()
+                metrics.histogram(
+                    "cpu_queue_wait_seconds", cpu=self.name
+                ).observe(
+                    (item.started_at or item.submitted_at) - item.submitted_at
+                )
+                obs.spans.event(
+                    item.trace_id, "cpu", "done",
+                    cpu=self.name, item=item.name, missed=missed,
+                )
+            item.callback(*item.args)
+            if self._busy or self._paused or not heap:
+                return
+            item = heappop(heap)[2]
+            run_time = self._begin(item)
+            when = loop._now + run_time
+            if not loop.advance_to(when):
+                loop.call_at(when, self._finish, item, run_time)
+                return
 
     def __repr__(self) -> str:
         return (

@@ -109,6 +109,9 @@ class _HeapQueue(ReadyQueue[T]):
     def __len__(self) -> int:
         return len(self._heap)
 
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
     def items(self) -> List[T]:
         """All queued items in policy order (non-destructive)."""
         return [entry[2] for entry in sorted(self._heap)]

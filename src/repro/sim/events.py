@@ -69,6 +69,8 @@ _POOL_CAP = 4096
 
 _getrefcount = getattr(sys, "getrefcount", None)
 
+_INF = float("inf")
+
 
 class EventHandle:
     """A cancellable reference to one scheduled callback."""
@@ -171,6 +173,14 @@ class EventLoop:
         #: outside every container, so compaction (which rebuilds the
         #: counters from the containers) must wait for the batch to end.
         self._in_batch = False
+        #: Last entry of the single-pass batch in progress: its _queued
+        #: flag stays set until the batch reaches it (see advance_to).
+        self._batch_last: Optional[EventHandle] = None
+        #: Run-ahead limits of the active run(): the latest reachable
+        #: time and the idle grace.  -inf while no run() is active or
+        #: while a max_events budget is (see advance_to).
+        self._ahead_until = -_INF
+        self._ahead_grace = _INF
         self._wheel_count = 0
         self._queued_count = 0
         self._cancelled_in_queue = 0
@@ -269,6 +279,61 @@ class EventLoop:
         handle = self._acquire(self._now, callback, args)
         self._bucket.append(handle)
         return handle
+
+    def advance_to(self, when: float) -> bool:
+        """Run ahead: move the clock straight to ``when`` instead of
+        scheduling an event there, if that event would run next.
+
+        A callback that is about to schedule its own continuation at
+        ``when`` (and do nothing else after it) may call this instead.
+        It returns True -- the clock now reads ``when`` and one event is
+        counted -- only when the running :meth:`run` would dispatch that
+        event next: nothing is queued at or before ``when`` (live or
+        cancelled, in the now-bucket, the rest of the current dispatch
+        batch, the wheel or the overflow heap; a tie declines, since
+        every queued entry has the lower seq), ``when`` is within the
+        run's ``until`` and ``idle_grace``, and no ``max_events`` budget
+        is active.  On False nothing changed and the caller schedules
+        the event as usual.  Skipping the event drops one seq number and
+        keeps every other event's relative ``(time, seq)`` order, so
+        dispatch order, clock readings and ``events_run`` are those of
+        the scheduled run.
+        """
+        if when > self._ahead_until:
+            return False
+        if when - self._now > self._ahead_grace:
+            return False
+        if self._bucket or (self._in_batch and self._batch_last._queued):
+            return False
+        slot_no = int(when * self._inv_gran)
+        base = self._base
+        if self._wheel_count:
+            if slot_no - base >= _WHEEL_SLOTS:
+                return False
+            slots = self._slots
+            start = self._scan_slot
+            if start < base:
+                start = base
+            while start < slot_no:
+                if slots[start % _WHEEL_SLOTS]:
+                    return False
+                start += 1
+            self._scan_slot = start
+            slot = slots[slot_no % _WHEEL_SLOTS]
+            if slot:
+                if self._batch_dispatch and slot_no != self._sorted_slot:
+                    slot.sort()
+                    self._sorted_slot = slot_no
+                if slot[0][0] <= when:
+                    return False
+        far = self._far
+        if far and far[0][0] <= when:
+            return False
+        self._now = when
+        if slot_no > base:
+            self._rebase()
+        self._events_run += 1
+        return True
 
     # -- queue maintenance ---------------------------------------------
 
@@ -394,6 +459,9 @@ class EventLoop:
                 raise SchedulingError(f"negative idle_grace {idle_grace!r}")
         self._running = True
         self._stopped_on_grace = False
+        if max_events is None:
+            self._ahead_until = _INF if until is None else until
+            self._ahead_grace = _INF if idle_grace is None else idle_grace
         executed = 0
         ran = 0
         budget = -1 if max_events is None else max_events
@@ -473,6 +541,7 @@ class EventLoop:
                             # would rebuild from.  Recycling compares
                             # against 3 because the batch entry tuple
                             # still holds one reference.
+                            self._batch_last = batch[-1][2]
                             self._in_batch = True
                             skipped = 0
                             for entry in batch:
@@ -574,6 +643,7 @@ class EventLoop:
                             if budget < 0 or budget - ran >= n:
                                 # Single pass; same reconciliation as
                                 # the slot batch above.
+                                self._batch_last = batch[-1]
                                 self._in_batch = True
                                 skipped = 0
                                 for handle in batch:
@@ -700,6 +770,7 @@ class EventLoop:
         finally:
             self._running = False
             self._in_batch = False
+            self._ahead_until = -_INF
             self._events_run += executed
         if until is not None and self._now < until:
             self._now = until

@@ -32,6 +32,8 @@ __all__ = ["PiggybackQueue"]
 #: Encoded bytes of the bundle count header.
 _BUNDLE_HEADER_BYTES = 2
 
+_INF = float("inf")
+
 FlushCallback = Callable[[bytes, float, List[int], int], None]
 
 
@@ -66,6 +68,9 @@ class PiggybackQueue:
         #: (entry, network transmission deadline, flush-by time).
         self._entries: List[Tuple[BundleEntry, float, float]] = []
         self._encoded_bytes = _BUNDLE_HEADER_BYTES
+        #: Earliest flush-by time of the queued components (a running
+        #: minimum, reset by every flush).
+        self._earliest = _INF
         #: Where flush timers are scheduled: a per-peer TimerGroup when
         #: the ST coalesces timers, else the loop itself.  Both expose
         #: ``call_at`` returning a handle with ``time``/``cancel()``/
@@ -137,7 +142,7 @@ class PiggybackQueue:
             self.flush("overflow")
         self._entries.append((entry, max_deadline, flush_by))
         self._encoded_bytes += entry.encoded_size
-        self._arm_timer()
+        self._arm_timer(flush_by)
 
     def submit_fast(
         self, entry: BundleEntry, entry_size: int, max_deadline: float,
@@ -165,7 +170,7 @@ class PiggybackQueue:
             self.flush("overflow")
         self._entries.append((entry, max_deadline, flush_by))
         self._encoded_bytes += entry_size
-        self._arm_timer()
+        self._arm_timer(flush_by)
 
     def flush(self, reason: str = "forced") -> None:
         """Send every queued component as one bundle now."""
@@ -178,8 +183,17 @@ class PiggybackQueue:
             obs.metrics.counter("st_piggyback_flushes", reason=reason).inc()
         entries, self._entries = self._entries, []
         self._encoded_bytes = _BUNDLE_HEADER_BYTES
+        self._earliest = _INF
         self._disarm_timer()
         self._send(entries)
+
+    def discard(self) -> None:
+        """Drop every queued component unsent (the network RMS they were
+        bound for has failed)."""
+        self._entries = []
+        self._encoded_bytes = _BUNDLE_HEADER_BYTES
+        self._earliest = _INF
+        self._disarm_timer()
 
     def _send(self, entries: List[Tuple[BundleEntry, float, float]]) -> None:
         if self._fast and len(entries) == 1 and not self.context.obs.enabled:
@@ -210,16 +224,17 @@ class PiggybackQueue:
                 )
         self.flush_fn(payload, deadline, st_ids, len(entries))
 
-    def _arm_timer(self) -> None:
-        entries = self._entries
-        if len(entries) == 1:
-            earliest = entries[0][2]
-        else:
-            earliest = min(flush_by for _, _, flush_by in entries)
-        if self._timer is not None:
-            if self._timer.time <= earliest and not self._timer.cancelled:
+    def _arm_timer(self, flush_by: float) -> None:
+        """Keep the flush timer at the earliest flush-by time, now that
+        a component due at ``flush_by`` has been queued."""
+        earliest = self._earliest
+        if flush_by < earliest:
+            earliest = self._earliest = flush_by
+        timer = self._timer
+        if timer is not None:
+            if timer.time <= earliest and not timer.cancelled:
                 return
-            self._timer.cancel()
+            timer.cancel()
         self._timer = self._timers.call_at(
             max(earliest, self.context.now), self._timer_fired
         )

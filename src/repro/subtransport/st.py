@@ -455,7 +455,12 @@ class SubtransportLayer:
         peer.bindings.remove(binding)
         queue = peer.queues.get(binding.network_rms.rms_id)
         if queue is not None:
-            queue.flush("forced")
+            if binding.network_rms.is_open:
+                queue.flush("forced")
+            else:
+                # A failed network RMS loses what was queued for it; the
+                # ST RMSs it carried have failed, which notifies the loss.
+                queue.discard()
         if (
             self.config.cache_enabled
             and len(peer.cached) < self.config.cache_size_per_peer

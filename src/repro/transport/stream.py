@@ -160,6 +160,7 @@ class StreamSession:
         data_rms.on_failure.listen(lambda rms, reason: self._fail(reason))
         if ack_rms is not None:
             ack_rms.port.set_handler(self._ack_arrived)
+            ack_rms.on_failure.listen(lambda rms, reason: self._fail(reason))
         if config.use_fast_ack:
             data_rms.on_fast_ack.listen(self._fast_ack_arrived)
             self._fast_acked = 0
@@ -472,7 +473,7 @@ class StreamSession:
         self.rx_port.set_handler(handler)
 
     def _maybe_send_ack(self, force: bool = False) -> None:
-        if self.ack_rms is None:
+        if self.ack_rms is None or not self.ack_rms.is_open:
             return
         if not force and self.rx_since_ack < self.config.ack_every:
             return

@@ -374,3 +374,66 @@ class TestControlPlaneResilience:
         doomed = rkom.call("echo", b"y", timeout=0.05)
         system.run(until=system.now + 30.0)
         assert doomed.done and doomed.failed
+
+
+def fabric_system(spines):
+    """A small ``two_tier`` ECMP fabric: two leaves, one host each."""
+    system = DashSystem(seed=3)
+    network, _mesh = system.add_mesh(
+        "two_tier", ecmp=True, spines=spines, leaves=2, hosts_per_leaf=1,
+        network_kwargs={"trusted": True},
+    )
+    return system, network
+
+
+class TestTrunkFlapUnderTraffic:
+    """A leaf-spine trunk going down under full-stack traffic fails the
+    RMSs routed over it; it must not raise out of ``Link.set_down`` or
+    out of the event loop."""
+
+    def test_flap_with_bundle_queued_fails_call(self):
+        system, network = fabric_system(spines=2)
+        system.nodes["h1"].rkom.register_handler(
+            "echo", lambda payload, sender: payload
+        )
+        client = system.connect("h0", "h1", kind="rkom")
+        system.run(until=system.now + 2.0)
+        warm = client.call("echo", b"w" * 64)
+        system.run(until=system.now + 2.0)
+        assert warm.done and not warm.failed
+        handle = client.call("echo", b"x" * 64)
+        # Past the send stage, inside the piggyback window: the request
+        # waits in the ST bundle queue of the network RMS about to fail.
+        system.run(until=system.now + 0.0005)
+        queues = system.nodes["h0"].st._peers["h1"].queues
+        assert sum(len(queue) for queue in queues.values()) == 1
+        for spine in ("spine0", "spine1"):
+            network.link("leaf0", spine).set_down()
+        system.run(until=system.now + 2.0)
+        assert handle.done and handle.failed
+
+    def test_flap_on_ack_path_fails_stream(self):
+        system, network = fabric_system(spines=4)
+        session = system.connect(
+            "h0", "h1", kind="stream",
+            config=StreamConfig(data_delay_bound=0.05, data_max_message=2048),
+        )
+        system.run(until=system.now + 2.0)
+        stream = session.established.result()
+        session.send(b"w" * 512)
+        system.run(until=system.now + 1.0)
+        acks = stream.stats.acks_sent
+        for index in range(4):
+            session.send(bytes([index]) * 512)
+        system.run(until=system.now + 0.001)
+        # ECMP pins the acks to a spine the data does not cross: only
+        # the ack RMS fails, and the data in flight still arrives.
+        ack_route = stream.ack_rms.binding.network_rms.route
+        spine = ack_route[2]
+        assert spine not in stream.data_rms.binding.network_rms.route
+        network.link("leaf1", spine).set_down()
+        system.run(until=system.now + 2.0)
+        assert stream.failed and "leaf1->" + spine in stream.failed
+        assert stream.data_rms.is_open
+        assert stream.stats.messages_delivered == 5
+        assert stream.stats.acks_sent == acks
